@@ -217,20 +217,36 @@ double PeakRssMb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
 }
 
-Result<double> TimeAnswerReads(const MlnProgram& program,
-                               const AtomStore& atoms,
-                               const std::vector<uint8_t>& truth,
-                               const std::string& predicate,
-                               size_t* answers) {
-  RotatedCpu cpu;
-  double start = 0.0;
-  for (int i = -1; i < kAnswerReads; ++i) {
-    if (i == 0) start = NowSeconds();
+Result<ReadSample> TimeAnswerReads(const MlnProgram& program,
+                                   const AtomStore& atoms,
+                                   const std::vector<uint8_t>& truth,
+                                   const std::string& predicate,
+                                   size_t* answers, uint64_t* reads) {
+  auto read = [&]() -> Status {
+    ++*reads;
     TUFFY_ASSIGN_OR_RETURN(std::vector<GroundAtom> answer,
                            ExtractTrueAtoms(program, atoms, truth, predicate));
     *answers = answer.size();
+    return Status::OK();
+  };
+  // One pass per CPU in turn; a single RotatedCpu would put the samples
+  // of a loop that also takes set-up samples on the same subset of CPUs
+  // run after run.
+  const int passes = std::max(1, CPU_COUNT(&AllowedCpus()));
+  std::vector<double> slice_ms;
+  for (int pass = 0; pass < passes; ++pass) {
+    RotatedCpu cpu;
+    TUFFY_RETURN_IF_ERROR(read());  // untimed
+    const double start = NowSeconds();
+    double now = start;
+    do {
+      const double slice_start = now;
+      for (int i = 0; i < kSliceReads; ++i) TUFFY_RETURN_IF_ERROR(read());
+      now = NowSeconds();
+      slice_ms.push_back((now - slice_start) * 1e3 / kSliceReads);
+    } while (now - start < kReadBurstSeconds / passes);
   }
-  return (NowSeconds() - start) * 1e3 / kAnswerReads;
+  return ReadSample{Quantile(slice_ms, 0.0), Quantile(slice_ms, 0.9)};
 }
 
 RenderedEvidence RenderEvidence(const MlnProgram& program,

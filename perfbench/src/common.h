@@ -155,20 +155,44 @@ double Quantile(std::vector<double> values, double q);
 double Mean(const std::vector<double>& values);
 double PeakRssMb();
 
-/// Reads of the MAP answer per read sample (see TimeAnswerReads).
-constexpr int kAnswerReads = 20;
+/// Length of one read sample of a batch or learning workload, and the
+/// reads per timed slice of it (see TimeAnswerReads).
+constexpr double kReadBurstSeconds = 0.2;
+constexpr int kSliceReads = 20;
+
+/// Per-read times of one read burst, in milliseconds: of its fastest
+/// slice, and the p90 over its slices.
+struct ReadSample {
+  double fastest_ms = 0.0;
+  double p90_ms = 0.0;
+};
 
 /// One read sample of a batch or learning workload: extracts the true
 /// atoms of `predicate` (ExtractTrueAtoms, the MAP answer a user reads)
-/// once untimed, taking the page faults a fresh result costs, then
-/// kAnswerReads times under a RotatedCpu; returns milliseconds per read.
-/// A single extraction takes tens of microseconds, where one interrupt
-/// would set the tail, hence the mean over a burst.
-Result<double> TimeAnswerReads(const MlnProgram& program,
-                               const AtomStore& atoms,
-                               const std::vector<uint8_t>& truth,
-                               const std::string& predicate,
-                               size_t* answers);
+/// for kReadBurstSeconds, split evenly over the allowed CPUs, each pass
+/// pinned to one (RotatedCpu) and starting with an untimed read that
+/// takes the page faults and cache misses a fresh result or CPU costs.
+/// The reads are timed in slices of kSliceReads. Counts every read
+/// attempted, untimed ones included, in `*reads`. Workloads report the
+/// medians over their bursts of `fastest_ms` as read_p50_ms and of
+/// `p90_ms` as read_p90_ms.
+///
+/// Why per-burst statistics: an extraction can take tens of
+/// microseconds, and on a shared host the same loop runs at two or more
+/// speeds, up to ~1.6x apart, in phases from tens of milliseconds to
+/// minutes (host-side cache contention: an ALU loop timed alongside does
+/// not move). The median of burst means followed how much of a run fell
+/// into slow phases and spread 31% of itself over ten 20-second runs of
+/// learn_rc. Over six runs each of learn_rc and batch_ground, the median
+/// of the fastest slices (the read with the least interference;
+/// contention only adds time, so a read the code makes slower still
+/// shows) spread 4% and 8%, and the median of the bursts' p90s 6% and 9%,
+/// where the p90 of the bursts' fastest slices spread 10% and 30%.
+Result<ReadSample> TimeAnswerReads(const MlnProgram& program,
+                                   const AtomStore& atoms,
+                                   const std::vector<uint8_t>& truth,
+                                   const std::string& predicate,
+                                   size_t* answers, uint64_t* reads);
 
 /// Evidence rendered as evidence-file text (every constant quoted), one
 /// line per row, rows in a seed-dependent order.
