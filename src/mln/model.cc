@@ -1,39 +1,91 @@
 #include "mln/model.h"
 
+#include <algorithm>
+
 #include "util/string_util.h"
 
 namespace tuffy {
 
 // ------------------------------------------------------------ SymbolTable
 
-ConstantId SymbolTable::Intern(const std::string& symbol,
-                               const std::string& type) {
-  ConstantId id;
-  auto it = ids_.find(symbol);
-  if (it != ids_.end()) {
-    id = it->second;
-  } else {
-    id = static_cast<ConstantId>(names_.size());
-    ids_[symbol] = id;
-    names_.push_back(symbol);
+DomainId SymbolTable::DomainOf(std::string_view type) {
+  auto it = domain_ids_.find(type);
+  if (it != domain_ids_.end()) return it->second;
+  const DomainId id = static_cast<DomainId>(domains_.size());
+  domain_ids_.emplace(type, id);
+  domains_.emplace_back();
+  return id;
+}
+
+namespace {
+
+size_t HashOf(std::string_view symbol) {
+  return std::hash<std::string_view>{}(symbol);
+}
+
+/// A filled index slot: the hash's upper half as a tag, over id + 1.
+uint64_t FilledSlot(size_t hash, size_t id) {
+  return (static_cast<uint64_t>(hash) >> 32 << 32) | (id + 1);
+}
+
+ConstantId SlotId(uint64_t slot) {
+  return static_cast<ConstantId>(static_cast<uint32_t>(slot) - 1);
+}
+
+}  // namespace
+
+size_t SymbolTable::SlotOf(std::string_view symbol, size_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  const uint64_t tag = static_cast<uint64_t>(hash) >> 32;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const uint64_t slot = slots_[i];
+    if (slot == 0) return i;
+    if ((slot >> 32) == tag && names_[SlotId(slot)] == symbol) return i;
   }
-  auto& members = domain_members_[type];
-  if (members.emplace(id, true).second) {
-    domains_[type].push_back(id);
+}
+
+void SymbolTable::Place(ConstantId id) {
+  const size_t hash = HashOf(names_[id]);
+  slots_[SlotOf(names_[id], hash)] = FilledSlot(hash, id);
+}
+
+ConstantId SymbolTable::Intern(std::string_view symbol, DomainId domain) {
+  ConstantId id = Find(symbol);
+  if (id < 0) {
+    id = static_cast<ConstantId>(names_.size());
+    names_.emplace_back(symbol);
+    if (names_.size() * 2 > slots_.size()) {
+      // Double the table (64 slots at first) and re-place every symbol.
+      slots_.assign(std::max<size_t>(64, slots_.size() * 2), 0);
+      for (size_t k = 0; k < names_.size(); ++k) {
+        Place(static_cast<ConstantId>(k));
+      }
+    } else {
+      Place(id);
+    }
+  }
+  DomainSet& d = domains_[domain];
+  const size_t word = static_cast<size_t>(id) >> 6;
+  const uint64_t bit = uint64_t{1} << (id & 63);
+  if (word >= d.bits.size()) d.bits.resize(word + 1, 0);
+  if ((d.bits[word] & bit) == 0) {
+    d.bits[word] |= bit;
+    d.members.push_back(id);
   }
   return id;
 }
 
-ConstantId SymbolTable::Find(const std::string& symbol) const {
-  auto it = ids_.find(symbol);
-  return it == ids_.end() ? -1 : it->second;
+ConstantId SymbolTable::Find(std::string_view symbol) const {
+  if (slots_.empty()) return -1;
+  const uint64_t slot = slots_[SlotOf(symbol, HashOf(symbol))];
+  return slot == 0 ? -1 : SlotId(slot);
 }
 
 const std::vector<ConstantId>& SymbolTable::Domain(
-    const std::string& type) const {
+    std::string_view type) const {
   static const std::vector<ConstantId> kEmpty;
-  auto it = domains_.find(type);
-  return it == domains_.end() ? kEmpty : it->second;
+  auto it = domain_ids_.find(type);
+  return it == domain_ids_.end() ? kEmpty : domains_[it->second].members;
 }
 
 // ------------------------------------------------------------- MlnProgram
@@ -50,10 +102,11 @@ Result<PredicateId> MlnProgram::AddPredicate(Predicate pred) {
   return id;
 }
 
-Result<PredicateId> MlnProgram::FindPredicate(const std::string& name) const {
+Result<PredicateId> MlnProgram::FindPredicate(std::string_view name) const {
   auto it = predicate_ids_.find(name);
   if (it == predicate_ids_.end()) {
-    return Status::NotFound(StrFormat("predicate %s", name.c_str()));
+    return Status::NotFound(
+        StrFormat("predicate %s", std::string(name).c_str()));
   }
   return it->second;
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -83,27 +84,66 @@ struct Clause {
   int rule_id = -1;
 };
 
+/// Transparent string hash, so string-keyed maps look up a
+/// std::string_view without building a std::string.
+struct StringViewHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+template <typename V>
+using StringMap =
+    std::unordered_map<std::string, V, StringViewHash, std::equal_to<>>;
+
+/// Dense handle of a domain (type) name within one SymbolTable.
+using DomainId = int32_t;
+
 /// Interns constant symbols and tracks per-type domains.
 class SymbolTable {
  public:
+  /// The id of the domain named `type`, registering it (empty) if new.
+  DomainId DomainOf(std::string_view type);
+
+  /// Interns `symbol`, registering it in `domain`.
+  ConstantId Intern(std::string_view symbol, DomainId domain);
+
   /// Interns `symbol`, registering it in the domain of `type`.
-  ConstantId Intern(const std::string& symbol, const std::string& type);
+  ConstantId Intern(std::string_view symbol, std::string_view type) {
+    return Intern(symbol, DomainOf(type));
+  }
 
   /// Looks up an existing symbol; returns -1 if unknown.
-  ConstantId Find(const std::string& symbol) const;
+  ConstantId Find(std::string_view symbol) const;
 
   const std::string& SymbolName(ConstantId id) const { return names_[id]; }
   size_t num_constants() const { return names_.size(); }
 
-  /// All constants registered under `type` (empty vector if none).
-  const std::vector<ConstantId>& Domain(const std::string& type) const;
+  /// All constants registered under `type` in registration order (empty
+  /// vector if none).
+  const std::vector<ConstantId>& Domain(std::string_view type) const;
 
  private:
-  std::unordered_map<std::string, ConstantId> ids_;
+  /// One domain: its members in registration order, and a membership
+  /// bitmap indexed by ConstantId (grown on demand to the largest member).
+  struct DomainSet {
+    std::vector<ConstantId> members;
+    std::vector<uint64_t> bits;
+  };
+
+  /// Open-addressing slot of `symbol` in slots_: the slot holding it, or
+  /// the empty slot where it would go. slots_ must be non-empty.
+  size_t SlotOf(std::string_view symbol, size_t hash) const;
+  /// Writes the slot of names_[id], which the index does not hold yet.
+  void Place(ConstantId id);
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, std::vector<ConstantId>> domains_;
-  std::unordered_map<std::string, std::unordered_map<ConstantId, bool>>
-      domain_members_;
+  /// Flat hash index over names_: a power-of-two table, at most half
+  /// full, whose slots hold (hash >> 32) << 32 | (id + 1), 0 if empty.
+  std::vector<uint64_t> slots_;
+  StringMap<DomainId> domain_ids_;
+  std::vector<DomainSet> domains_;
 };
 
 /// A parsed MLN program: predicate declarations plus weighted clauses,
@@ -113,7 +153,7 @@ class MlnProgram {
   /// Declares a predicate; fails on duplicate names.
   Result<PredicateId> AddPredicate(Predicate pred);
 
-  Result<PredicateId> FindPredicate(const std::string& name) const;
+  Result<PredicateId> FindPredicate(std::string_view name) const;
 
   const Predicate& predicate(PredicateId id) const { return predicates_[id]; }
   const std::vector<Predicate>& predicates() const { return predicates_; }
@@ -137,7 +177,7 @@ class MlnProgram {
 
  private:
   std::vector<Predicate> predicates_;
-  std::unordered_map<std::string, PredicateId> predicate_ids_;
+  StringMap<PredicateId> predicate_ids_;
   std::vector<Clause> clauses_;
   SymbolTable symbols_;
 };

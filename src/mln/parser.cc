@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <span>
+#include <string_view>
 #include <unordered_map>
 
 #include "util/string_util.h"
@@ -24,104 +26,121 @@ enum class TokType {
   kEnd,
 };
 
+/// A token's text views the source, which outlives every parse step.
 struct Token {
   TokType type = TokType::kEnd;
-  std::string text;
+  std::string_view text;
   bool quoted = false;
 };
 
-/// Tokenizes one source line.
-class Lexer {
- public:
-  explicit Lexer(std::string_view line) : line_(line) {}
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+bool IsIdentChar(char c) { return IsAlpha(c) || IsDigit(c) || c == '_'; }
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' ||
+         c == '\f';
+}
 
-  Result<std::vector<Token>> Tokenize() {
-    std::vector<Token> out;
-    while (pos_ < line_.size()) {
-      char c = line_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-        continue;
-      }
-      if (c == '/' && pos_ + 1 < line_.size() && line_[pos_ + 1] == '/') break;
-      if (c == '(') {
-        out.push_back({TokType::kLParen, "("});
-        ++pos_;
-      } else if (c == ')') {
-        out.push_back({TokType::kRParen, ")"});
-        ++pos_;
-      } else if (c == ',') {
-        out.push_back({TokType::kComma, ","});
-        ++pos_;
-      } else if (c == '!') {
-        if (pos_ + 1 < line_.size() && line_[pos_ + 1] == '=') {
-          out.push_back({TokType::kNeq, "!="});
-          pos_ += 2;
-        } else {
-          out.push_back({TokType::kBang, "!"});
-          ++pos_;
-        }
-      } else if (c == '=') {
-        if (pos_ + 1 < line_.size() && line_[pos_ + 1] == '>') {
-          out.push_back({TokType::kImplies, "=>"});
-          pos_ += 2;
-        } else {
-          out.push_back({TokType::kEq, "="});
-          ++pos_;
-        }
-      } else if (c == '.') {
-        out.push_back({TokType::kPeriod, "."});
-        ++pos_;
-      } else if (c == '"' || c == '\'') {
-        char quote = c;
-        size_t end = line_.find(quote, pos_ + 1);
-        if (end == std::string_view::npos) {
-          return Status::ParseError("unterminated string literal");
-        }
-        Token t;
-        t.type = TokType::kIdent;
-        t.text = std::string(line_.substr(pos_ + 1, end - pos_ - 1));
-        t.quoted = true;
-        out.push_back(std::move(t));
-        pos_ = end + 1;
-      } else if (std::isdigit(static_cast<unsigned char>(c)) || c == '-' ||
-                 c == '+') {
-        size_t start = pos_;
-        ++pos_;
-        while (pos_ < line_.size() &&
-               (std::isdigit(static_cast<unsigned char>(line_[pos_])) ||
-                line_[pos_] == '.' || line_[pos_] == 'e' ||
-                line_[pos_] == 'E' ||
-                ((line_[pos_] == '-' || line_[pos_] == '+') &&
-                 (line_[pos_ - 1] == 'e' || line_[pos_ - 1] == 'E')))) {
-          ++pos_;
-        }
-        out.push_back(
-            {TokType::kNumber, std::string(line_.substr(start, pos_ - start))});
-      } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        size_t start = pos_;
-        while (pos_ < line_.size() &&
-               (std::isalnum(static_cast<unsigned char>(line_[pos_])) ||
-                line_[pos_] == '_')) {
-          ++pos_;
-        }
-        out.push_back(
-            {TokType::kIdent, std::string(line_.substr(start, pos_ - start))});
-      } else if (c == '*') {
-        out.push_back({TokType::kIdent, "*"});
-        ++pos_;
+/// Tokenizes one source line into `out` (cleared first, so one buffer
+/// serves every line), ending it with a kEnd token. A `//` ends the line.
+Status Tokenize(std::string_view line, std::vector<Token>* out) {
+  out->clear();
+  size_t pos = 0;
+  auto emit = [&](TokType type, size_t len) {
+    out->push_back({type, line.substr(pos, len)});
+    pos += len;
+  };
+  auto next_is = [&](char c) {
+    return pos + 1 < line.size() && line[pos + 1] == c;
+  };
+  while (pos < line.size()) {
+    const char c = line[pos];
+    if (IsSpace(c)) {
+      ++pos;
+    } else if (c == '/' && next_is('/')) {
+      break;
+    } else if (c == '(') {
+      emit(TokType::kLParen, 1);
+    } else if (c == ')') {
+      emit(TokType::kRParen, 1);
+    } else if (c == ',') {
+      emit(TokType::kComma, 1);
+    } else if (c == '!') {
+      if (next_is('=')) {
+        emit(TokType::kNeq, 2);
       } else {
-        return Status::ParseError(StrFormat("unexpected character '%c'", c));
+        emit(TokType::kBang, 1);
       }
+    } else if (c == '=') {
+      if (next_is('>')) {
+        emit(TokType::kImplies, 2);
+      } else {
+        emit(TokType::kEq, 1);
+      }
+    } else if (c == '.') {
+      emit(TokType::kPeriod, 1);
+    } else if (c == '"' || c == '\'') {
+      const size_t close = line.find(c, pos + 1);
+      if (close == std::string_view::npos) {
+        return Status::ParseError("unterminated string literal");
+      }
+      out->push_back(
+          {TokType::kIdent, line.substr(pos + 1, close - pos - 1), true});
+      pos = close + 1;
+    } else if (IsDigit(c) || c == '-' || c == '+') {
+      size_t end = pos + 1;
+      while (end < line.size() &&
+             (IsDigit(line[end]) || line[end] == '.' || line[end] == 'e' ||
+              line[end] == 'E' ||
+              ((line[end] == '-' || line[end] == '+') &&
+               (line[end - 1] == 'e' || line[end - 1] == 'E')))) {
+        ++end;
+      }
+      emit(TokType::kNumber, end - pos);
+    } else if (IsAlpha(c) || c == '_') {
+      size_t end = pos + 1;
+      while (end < line.size() && IsIdentChar(line[end])) ++end;
+      emit(TokType::kIdent, end - pos);
+    } else if (c == '*') {
+      emit(TokType::kIdent, 1);
+    } else if (c >= 0x20 && c < 0x7f) {
+      return Status::ParseError(StrFormat("unexpected character '%c'", c));
+    } else {
+      return Status::ParseError(
+          StrFormat("unexpected byte 0x%02x", static_cast<unsigned char>(c)));
     }
-    out.push_back({TokType::kEnd, ""});
-    return out;
   }
+  out->push_back({TokType::kEnd, {}});
+  return Status::OK();
+}
 
- private:
-  std::string_view line_;
-  size_t pos_ = 0;
-};
+/// Prefixes a parse failure with its 1-based source line.
+Status AtLine(int line_no, const Status& st) {
+  return Status::ParseError(
+      StrFormat("line %d: %s", line_no, st.message().c_str()));
+}
+
+/// Walks `text` line by line in place, calling `fn(line_no, line)` with
+/// each trimmed line that is neither blank nor a `//` or `#` comment;
+/// stops at the first failure.
+template <typename Fn>
+Status ForEachLine(std::string_view text, Fn&& fn) {
+  int line_no = 0;
+  for (size_t pos = 0; pos < text.size();) {
+    size_t end = text.find('\n', pos);
+    if (end == std::string_view::npos) end = text.size();
+    ++line_no;
+    const std::string_view line = Trim(text.substr(pos, end - pos));
+    pos = end + 1;
+    if (line.empty() || StartsWith(line, "//") || StartsWith(line, "#")) {
+      continue;
+    }
+    TUFFY_RETURN_IF_ERROR(fn(line_no, line));
+  }
+  return Status::OK();
+}
 
 /// True if the identifier denotes a variable (starts lowercase, unquoted).
 bool IsVariableName(const Token& t) {
@@ -132,8 +151,8 @@ bool IsVariableName(const Token& t) {
 /// Parses the body of one rule line into a Clause.
 class RuleParser {
  public:
-  RuleParser(std::vector<Token> tokens, MlnProgram* program)
-      : tokens_(std::move(tokens)), program_(program) {}
+  RuleParser(std::span<const Token> tokens, MlnProgram* program)
+      : tokens_(tokens), program_(program) {}
 
   Result<Clause> Parse(double weight, bool* hard_out) {
     clause_.weight = weight;
@@ -164,8 +183,8 @@ class RuleParser {
       ++pos_;
     }
     if (Cur().type != TokType::kEnd) {
-      return Status::ParseError(
-          StrFormat("trailing tokens starting at '%s'", Cur().text.c_str()));
+      return Status::ParseError(StrFormat("trailing tokens starting at '%s'",
+                                          std::string(Cur().text).c_str()));
     }
     clause_.num_vars = static_cast<int>(var_ids_.size());
     return std::move(clause_);
@@ -178,7 +197,7 @@ class RuleParser {
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
   }
 
-  Result<Term> MakeTerm(const Token& tok, const std::string& type) {
+  Result<Term> MakeTerm(const Token& tok, std::string_view type) {
     if (IsVariableName(tok) && !tok.quoted) {
       auto it = var_ids_.find(tok.text);
       VarId v;
@@ -187,7 +206,7 @@ class RuleParser {
       } else {
         v = static_cast<VarId>(var_ids_.size());
         var_ids_[tok.text] = v;
-        clause_.var_names.push_back(tok.text);
+        clause_.var_names.emplace_back(tok.text);
       }
       return Term::Var(v);
     }
@@ -206,8 +225,8 @@ class RuleParser {
       ++pos_;
     }
     if (Cur().type != TokType::kIdent && Cur().type != TokType::kNumber) {
-      return Status::ParseError(
-          StrFormat("expected atom, got '%s'", Cur().text.c_str()));
+      return Status::ParseError(StrFormat("expected atom, got '%s'",
+                                          std::string(Cur().text).c_str()));
     }
     // Equality disjunct: term (=|!=) term.
     if (Peek().type == TokType::kEq || Peek().type == TokType::kNeq) {
@@ -233,7 +252,7 @@ class RuleParser {
     if (Cur().type != TokType::kIdent || Cur().quoted) {
       return Status::ParseError("expected predicate name");
     }
-    std::string pred_name = Cur().text;
+    const std::string pred_name(Cur().text);
     ++pos_;
     TUFFY_ASSIGN_OR_RETURN(PredicateId pid,
                            program_->FindPredicate(pred_name));
@@ -249,7 +268,7 @@ class RuleParser {
     while (Cur().type != TokType::kRParen) {
       if (Cur().type != TokType::kIdent && Cur().type != TokType::kNumber) {
         return Status::ParseError(
-            StrFormat("bad term '%s' in %s", Cur().text.c_str(),
+            StrFormat("bad term '%s' in %s", std::string(Cur().text).c_str(),
                       pred_name.c_str()));
       }
       if (arg_idx >= pred.arity()) {
@@ -288,7 +307,7 @@ class RuleParser {
         if (Cur().type != TokType::kComma) {
           return Status::ParseError(
               StrFormat("expected ',' in rule body, got '%s'",
-                        Cur().text.c_str()));
+                        std::string(Cur().text).c_str()));
         }
         ++pos_;
       }
@@ -314,7 +333,7 @@ class RuleParser {
         } else {
           v = static_cast<VarId>(var_ids_.size());
           var_ids_[Cur().text] = v;
-          clause_.var_names.push_back(Cur().text);
+          clause_.var_names.emplace_back(Cur().text);
         }
         clause_.existential_vars.push_back(v);
         ++pos_;
@@ -337,17 +356,17 @@ class RuleParser {
     return Status::OK();
   }
 
-  std::vector<Token> tokens_;
+  std::span<const Token> tokens_;
   size_t pos_ = 0;
   MlnProgram* program_;
   Clause clause_;
-  std::unordered_map<std::string, VarId> var_ids_;
+  std::unordered_map<std::string_view, VarId> var_ids_;
 };
 
 /// True if the token stream looks like a predicate declaration:
 /// [*] ident ( ident {, ident} ) END — with every argument a bare
 /// lowercase identifier (a type name) and no weight prefix.
-bool LooksLikeDeclaration(const std::vector<Token>& toks) {
+bool LooksLikeDeclaration(std::span<const Token> toks) {
   size_t i = 0;
   if (toks[i].type == TokType::kIdent && toks[i].text == "*") ++i;
   if (toks[i].type != TokType::kIdent || toks[i].quoted) return false;
@@ -371,23 +390,13 @@ bool LooksLikeDeclaration(const std::vector<Token>& toks) {
 
 }  // namespace
 
-Result<MlnProgram> ParseProgram(const std::string& text) {
+Result<MlnProgram> ParseProgram(std::string_view text) {
   MlnProgram program;
-  int line_no = 0;
-  for (const std::string& raw_line : Split(text, '\n')) {
-    ++line_no;
-    std::string_view line = Trim(raw_line);
-    if (line.empty() || StartsWith(line, "//") || StartsWith(line, "#")) {
-      continue;
-    }
-    Lexer lexer(line);
-    auto toks_result = lexer.Tokenize();
-    if (!toks_result.ok()) {
-      return Status::ParseError(StrFormat(
-          "line %d: %s", line_no, toks_result.status().message().c_str()));
-    }
-    std::vector<Token> toks = toks_result.TakeValue();
-    if (toks.size() <= 1) continue;
+  std::vector<Token> toks;
+  Status parsed = ForEachLine(text, [&](int line_no, std::string_view line) {
+    Status lexed = Tokenize(line, &toks);
+    if (!lexed.ok()) return AtLine(line_no, lexed);
+    if (toks.size() <= 1) return Status::OK();
 
     if (LooksLikeDeclaration(toks)) {
       size_t i = 0;
@@ -396,19 +405,15 @@ Result<MlnProgram> ParseProgram(const std::string& text) {
         pred.closed_world = true;
         ++i;
       }
-      pred.name = toks[i].text;
+      pred.name = std::string(toks[i].text);
       i += 2;  // name, '('
       while (toks[i].type != TokType::kRParen) {
-        pred.arg_types.push_back(toks[i].text);
+        pred.arg_types.emplace_back(toks[i].text);
         ++i;
         if (toks[i].type == TokType::kComma) ++i;
       }
       auto added = program.AddPredicate(std::move(pred));
-      if (!added.ok()) {
-        return Status::ParseError(StrFormat(
-            "line %d: %s", line_no, added.status().message().c_str()));
-      }
-      continue;
+      return added.ok() ? Status::OK() : AtLine(line_no, added.status());
     }
 
     // Rule: optional leading numeric weight, then the formula. A trailing
@@ -421,19 +426,15 @@ Result<MlnProgram> ParseProgram(const std::string& text) {
       // constant: a weight is followed by an identifier or '!'.
       if (toks.size() > 1 && (toks[1].type == TokType::kIdent ||
                               toks[1].type == TokType::kBang)) {
-        weight = std::strtod(toks[0].text.c_str(), nullptr);
+        weight = std::strtod(std::string(toks[0].text).c_str(), nullptr);
         has_weight = true;
         start = 1;
       }
     }
-    std::vector<Token> rule_toks(toks.begin() + start, toks.end());
-    RuleParser rp(std::move(rule_toks), &program);
+    RuleParser rp(std::span<const Token>(toks).subspan(start), &program);
     bool hard = false;
     auto clause_result = rp.Parse(weight, &hard);
-    if (!clause_result.ok()) {
-      return Status::ParseError(StrFormat(
-          "line %d: %s", line_no, clause_result.status().message().c_str()));
-    }
+    if (!clause_result.ok()) return AtLine(line_no, clause_result.status());
     Clause clause = clause_result.TakeValue();
     clause.hard = hard;
     if (hard && has_weight) {
@@ -446,31 +447,22 @@ Result<MlnProgram> ParseProgram(const std::string& text) {
           StrFormat("line %d: soft rule is missing a weight", line_no));
     }
     Status st = program.AddClause(std::move(clause));
-    if (!st.ok()) {
-      return Status::ParseError(
-          StrFormat("line %d: %s", line_no, st.message().c_str()));
-    }
-  }
+    return st.ok() ? Status::OK() : AtLine(line_no, st);
+  });
+  if (!parsed.ok()) return parsed;
   return program;
 }
 
-Status ParseEvidence(const std::string& text, MlnProgram* program,
+Status ParseEvidence(std::string_view text, MlnProgram* program,
                      EvidenceDb* db) {
-  int line_no = 0;
-  for (const std::string& raw_line : Split(text, '\n')) {
-    ++line_no;
-    std::string_view line = Trim(raw_line);
-    if (line.empty() || StartsWith(line, "//") || StartsWith(line, "#")) {
-      continue;
-    }
-    Lexer lexer(line);
-    auto toks_result = lexer.Tokenize();
-    if (!toks_result.ok()) {
-      return Status::ParseError(StrFormat(
-          "line %d: %s", line_no, toks_result.status().message().c_str()));
-    }
-    std::vector<Token> toks = toks_result.TakeValue();
-    if (toks.size() <= 1) continue;
+  SymbolTable& symbols = program->symbols();
+  // Argument domains per predicate position, resolved on first use.
+  std::vector<std::vector<DomainId>> arg_domains(program->num_predicates());
+  std::vector<Token> toks;
+  return ForEachLine(text, [&](int line_no, std::string_view line) {
+    Status lexed = Tokenize(line, &toks);
+    if (!lexed.ok()) return AtLine(line_no, lexed);
+    if (toks.size() <= 1) return Status::OK();
     size_t i = 0;
     bool truth = true;
     if (toks[i].type == TokType::kBang) {
@@ -481,47 +473,68 @@ Status ParseEvidence(const std::string& text, MlnProgram* program,
       return Status::ParseError(
           StrFormat("line %d: expected predicate name", line_no));
     }
-    std::string name = toks[i].text;
+    const std::string_view name = toks[i].text;
     ++i;
     auto pid_result = program->FindPredicate(name);
     if (!pid_result.ok()) {
       return Status::ParseError(StrFormat("line %d: unknown predicate %s",
-                                          line_no, name.c_str()));
+                                          line_no, std::string(name).c_str()));
     }
-    PredicateId pid = pid_result.TakeValue();
+    const PredicateId pid = pid_result.value();
     const Predicate& pred = program->predicate(pid);
+    std::vector<DomainId>& domains = arg_domains[pid];
+    if (domains.size() != pred.arg_types.size()) {
+      for (const std::string& type : pred.arg_types) {
+        domains.push_back(symbols.DomainOf(type));
+      }
+    }
     if (toks[i].type != TokType::kLParen) {
       return Status::ParseError(StrFormat("line %d: expected '('", line_no));
     }
     ++i;
     GroundAtom atom;
     atom.pred = pid;
-    int arg_idx = 0;
-    while (toks[i].type != TokType::kRParen) {
-      if (toks[i].type != TokType::kIdent && toks[i].type != TokType::kNumber) {
-        return Status::ParseError(
-            StrFormat("line %d: bad constant '%s'", line_no,
-                      toks[i].text.c_str()));
+    atom.args.reserve(pred.arg_types.size());
+    // Arguments: ')' or term {',' term} ')', then nothing but the end.
+    if (toks[i].type != TokType::kRParen) {
+      while (true) {
+        if (toks[i].type != TokType::kIdent &&
+            toks[i].type != TokType::kNumber) {
+          return Status::ParseError(
+              StrFormat("line %d: bad constant '%s'", line_no,
+                        std::string(toks[i].text).c_str()));
+        }
+        if (atom.args.size() == domains.size()) {
+          return Status::ParseError(
+              StrFormat("line %d: too many arguments to %s", line_no,
+                        pred.name.c_str()));
+        }
+        atom.args.push_back(
+            symbols.Intern(toks[i].text, domains[atom.args.size()]));
+        ++i;
+        if (toks[i].type == TokType::kRParen) break;
+        if (toks[i].type != TokType::kComma) {
+          return Status::ParseError(StrFormat(
+              "line %d: expected ',' or ')' in %s", line_no,
+              pred.name.c_str()));
+        }
+        ++i;
       }
-      if (arg_idx >= pred.arity()) {
-        return Status::ParseError(
-            StrFormat("line %d: too many arguments to %s", line_no,
-                      name.c_str()));
-      }
-      atom.args.push_back(
-          program->symbols().Intern(toks[i].text, pred.arg_types[arg_idx]));
-      ++arg_idx;
-      ++i;
-      if (toks[i].type == TokType::kComma) ++i;
     }
-    if (arg_idx != pred.arity()) {
+    ++i;  // ')'
+    if (toks[i].type != TokType::kEnd) {
+      return Status::ParseError(
+          StrFormat("line %d: unexpected '%s' after ')'", line_no,
+                    std::string(toks[i].text).c_str()));
+    }
+    if (static_cast<int>(atom.args.size()) != pred.arity()) {
       return Status::ParseError(StrFormat(
-          "line %d: %s expects %d args, got %d", line_no, name.c_str(),
-          pred.arity(), arg_idx));
+          "line %d: %s expects %d args, got %zu", line_no, pred.name.c_str(),
+          pred.arity(), atom.args.size()));
     }
     db->Add(std::move(atom), truth);
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 }  // namespace tuffy

@@ -1,7 +1,7 @@
 #ifndef TUFFY_MLN_PARSER_H_
 #define TUFFY_MLN_PARSER_H_
 
-#include <string>
+#include <string_view>
 
 #include "mln/model.h"
 #include "util/result.h"
@@ -23,7 +23,7 @@ namespace tuffy {
 /// EqualityConstraints. Identifiers starting with a lowercase letter are
 /// variables; quoted strings, capitalized identifiers, and numbers are
 /// constants.
-Result<MlnProgram> ParseProgram(const std::string& text);
+Result<MlnProgram> ParseProgram(std::string_view text);
 
 /// Parses evidence lines into `db`:
 ///
@@ -31,8 +31,11 @@ Result<MlnProgram> ParseProgram(const std::string& text);
 ///   !cat(P3, "AI")     // negative evidence
 ///
 /// Constants are interned into the program's symbol table using the
-/// declared argument types of each predicate.
-Status ParseEvidence(const std::string& text, MlnProgram* program,
+/// declared argument types of each predicate. Rows apply in text order,
+/// later rows overwriting earlier ones. A malformed row fails with a
+/// line-numbered ParseError; the rows before it stay applied. The full
+/// grammar is in docs/GROUNDING.md.
+Status ParseEvidence(std::string_view text, MlnProgram* program,
                      EvidenceDb* db);
 
 }  // namespace tuffy
